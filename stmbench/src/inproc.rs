@@ -345,7 +345,7 @@ pub fn run(w: &InProc, plan: &Plan) -> Result<Report, String> {
         return Ok(report);
     }
 
-    let rig = setup(w, plan.seed);
+    let mut rig = setup(w, plan.seed);
     let mut layers = Layers::default();
     let slice = Duration::from_secs_f64(s * 0.25);
     let (plain, _) = phase(w, &rig, &sampler, plan.seed, slice, &|| NoTrace);
@@ -394,13 +394,9 @@ pub fn run(w: &InProc, plan: &Plan) -> Result<Report, String> {
     );
 
     // Quiescent from here on: the map statistics, then the probes.
-    let rig = {
-        let mut rig = rig;
-        if let Some(r) = rig.reclaimer.take() {
-            r.stop();
-        }
-        rig
-    };
+    if let Some(r) = rig.reclaimer.take() {
+        r.stop();
+    }
     let map = rig.store.stats();
     layers.set("map.load_factor", map.load_factor());
     layers.set("map.probe_within_1", map.fraction_within(1));
