@@ -3,6 +3,7 @@
 //! byte-budgeted cache with TTLs and a background reclaimer), each run in
 //! process by 2 load threads.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -10,7 +11,8 @@ use harness::intset::Xorshift;
 use harness::kv::{fill_payload, KeyDist, KeySampler};
 use spectm::{Stm as _, StmThread};
 use spectm_kv::{
-    BatchOp, CacheConfig, CacheStats, EvictionPolicy, Reclaimer, ValueCell, ITEM_OVERHEAD_BYTES,
+    BatchOp, CacheConfig, CacheStats, Clock, EvictionPolicy, Reclaimer, ValueCell,
+    ITEM_OVERHEAD_BYTES,
 };
 
 use crate::checks::{self, classify, Got};
@@ -22,6 +24,7 @@ use crate::loopback;
 use crate::metrics::Layers;
 use crate::probes::{self, KeyPlan};
 use crate::report::{median, ratio, Report};
+use crate::sys;
 use crate::trace::{NoTrace, Spans, Tracer};
 use crate::Plan;
 
@@ -30,11 +33,22 @@ use crate::Plan;
 pub struct CacheSpec {
     /// Live-byte budget.
     pub max_bytes: u64,
-    /// Default TTL of every fill, ms.  Preloaded entries get TTLs spread
-    /// evenly over `1..=ttl`, as a cache that has run for a while holds
-    /// them, so they do not all expire at once.
+    /// Default TTL of every fill, ms of the cache clock.  Preloaded
+    /// entries get TTLs spread evenly over `1..=ttl`, as a cache that has
+    /// run for a while holds them, so they do not all expire at once.
     pub ttl_ms: u64,
 }
+
+/// Units (of [`UNIT_OPS`] operations) the load threads complete, all
+/// together, per millisecond of the cache clock: 512 operations per ms,
+/// about real time at the reference machine's throughput.  The cache's
+/// clock counts work, not wall time, so how many entries expire between
+/// two uses of a key does not depend on how fast the machine ran them.
+pub const UNITS_PER_CLOCK_MS: u64 = 32;
+
+/// Load run on `cache-churn` before the measured phase, so every preloaded
+/// entry has expired or been replaced and the cache has settled.
+pub const WARM_UP: Duration = Duration::from_secs(4);
 
 /// Load threads of every workload (`nproc` on the reference machine).
 pub const LOAD_THREADS: usize = 2;
@@ -82,14 +96,14 @@ impl InProc {
         }
     }
 
-    fn config(&self) -> CacheConfig {
+    fn config(&self, clock_ms: &Arc<AtomicU64>) -> CacheConfig {
         match self.cache {
             None => CacheConfig::default(),
             Some(c) => CacheConfig {
                 max_bytes: Some(c.max_bytes),
                 default_ttl_ms: c.ttl_ms,
                 policy: EvictionPolicy::Freq,
-                ..CacheConfig::default()
+                clock: Clock::manual(clock_ms),
             },
         }
     }
@@ -110,16 +124,18 @@ impl InProc {
     }
 }
 
-/// A built store with its reclaimer.
+/// A built store with its reclaimer and the cache clock's counter.
 struct Rig {
     stm: common::Stm,
     store: Arc<Store>,
     reclaimer: Option<Reclaimer>,
+    clock_ms: Arc<AtomicU64>,
 }
 
 fn setup(w: &InProc, seed: u64) -> Rig {
     let stm = common::Stm::new();
-    let store = new_store(&stm, w.keys, w.config());
+    let clock_ms = Arc::new(AtomicU64::new(0));
+    let store = new_store(&stm, w.keys, w.config(&clock_ms));
     let ttl_ms = w.cache.map_or(0, |c| c.ttl_ms);
     preload(
         &store,
@@ -139,6 +155,7 @@ fn setup(w: &InProc, seed: u64) -> Rig {
         stm,
         store,
         reclaimer,
+        clock_ms,
     }
 }
 
@@ -150,6 +167,9 @@ struct StoreUnit<'a, T: Spans> {
     rng: Xorshift,
     value_len: usize,
     ttl_ms: Option<u64>,
+    /// The cache clock, advanced by this thread's share of the work.
+    clock_ms: &'a AtomicU64,
+    units: u64,
     buf: Vec<u8>,
     spans: T,
     stats_before: spectm::StatsSnapshot,
@@ -209,6 +229,13 @@ impl<T: Spans + Send> Unit for StoreUnit<'_, T> {
         if let (Some(f), Some(rec)) = (frame, self.recorded.as_mut()) {
             rec.push(f);
         }
+        self.units += 1;
+        if self.ttl_ms.is_some() && self.units % UNITS_PER_CLOCK_MS == 0 {
+            // ORDERING: the clock is a counter of work done; a deadline
+            // check that reads it a tick late is as valid as one a tick
+            // early, and no data is published through it.
+            self.clock_ms.fetch_add(1, Ordering::Relaxed);
+        }
         r
     }
 
@@ -241,11 +268,27 @@ fn phase<T: Spans + Send>(
             rng: Xorshift::new(stream_seed(seed, tid as u64)),
             value_len: w.value_len,
             ttl_ms,
+            clock_ms: &rig.clock_ms,
+            units: 0,
             buf: Vec::with_capacity(w.value_len),
             spans: make_spans(),
             recorded: (tid == 0).then(Vec::new),
         }
     })
+}
+
+/// On `cache-churn`, runs the load for [`WARM_UP`] before anything is
+/// measured; returns what it did (nothing on the plain store, which has no
+/// state to settle).
+fn warm_up(w: &InProc, rig: &Rig, sampler: &KeySampler, seed: u64) -> UnitResult {
+    match w.cache {
+        Some(_) => {
+            phase(w, rig, sampler, seed ^ 1, WARM_UP, &|| NoTrace)
+                .0
+                .totals
+        }
+        None => UnitResult::default(),
+    }
 }
 
 /// Counters around the load phases.
@@ -274,7 +317,7 @@ fn check_counts(
     if w.cache.is_some() {
         let delta = checks::cache_delta(&before.cache, &after.cache);
         report.check(checks::check_cache_counts(
-            load.ops - load.failed,
+            load.ops,
             load.hits,
             load.misses,
             &delta,
@@ -289,6 +332,7 @@ fn finish(w: &InProc, rig: Rig, report: &mut Report, cells_baseline: usize) {
         stm,
         store,
         reclaimer,
+        ..
     } = rig;
     if let Some(r) = reclaimer {
         r.stop();
@@ -307,6 +351,15 @@ fn finish(w: &InProc, rig: Rig, report: &mut Report, cells_baseline: usize) {
     report.check(checks::check_cells(cells_baseline, ValueCell::live_count()));
 }
 
+/// Share of the machine's CPU time the host stole between two readings,
+/// percent (0 when unreadable).
+fn steal_pct(before: Option<(u64, u64)>, after: Option<(u64, u64)>) -> f64 {
+    match (before, after) {
+        (Some((s0, t0)), Some((s1, t1))) => 100.0 * ratio(s1 - s0, t1 - t0),
+        _ => 0.0,
+    }
+}
+
 /// Runs the workload per `plan`.
 pub fn run(w: &InProc, plan: &Plan) -> Result<Report, String> {
     let mut report = Report::default();
@@ -318,12 +371,14 @@ pub fn run(w: &InProc, plan: &Plan) -> Result<Report, String> {
         let mut rig = None;
         for _ in 0..crate::SETUPS {
             drop(rig.take());
-            let t = Instant::now();
+            let cpu = sys::process_cpu_s();
             rig = Some(setup(w, plan.seed));
-            setups.push(t.elapsed().as_secs_f64());
+            setups.push(sys::process_cpu_s() - cpu);
         }
         let rig = rig.expect("at least one setup");
+        let warm = warm_up(w, &rig, &sampler, plan.seed);
         let before = snapshot(&rig);
+        let steal_before = sys::machine_steal_ticks();
         let (cp, _) = phase(
             w,
             &rig,
@@ -333,13 +388,19 @@ pub fn run(w: &InProc, plan: &Plan) -> Result<Report, String> {
             &|| NoTrace,
         );
         let after = snapshot(&rig);
+        eprintln!(
+            "load: {:.0} ops/s of wall time, {:.2} CPU-s per s, host steal {:.1}%",
+            cp.ops_per_s(),
+            cp.cpu_per_wall_s(),
+            steal_pct(steal_before, sys::machine_steal_ticks())
+        );
         check_counts(w, &mut report, &cp.totals, &before, &after);
-        report.attempted = cp.totals.ops;
-        report.failed = cp.totals.failed;
+        report.attempted = warm.ops + cp.totals.ops;
+        report.failed = warm.failed + cp.totals.failed;
         report.push("setup_s", median(&mut setups), "s");
-        report.push("ops_per_s", cp.ops_per_s(), "ops/s");
+        report.push("ops_per_cpu_s", cp.ops_per_cpu_s(), "ops/cpu-s");
         report.push("p50_us", cp.percentile_us(50.0), "us");
-        report.push("hits_per_s", cp.hits_per_s(), "hits/s");
+        report.push("hits_per_cpu_s", cp.hits_per_cpu_s(), "hits/cpu-s");
         finish(w, rig, &mut report, cells_baseline);
         report.push("rss_peak_mib", crate::sys::rss_peak_mib(), "MiB");
         return Ok(report);
@@ -348,16 +409,22 @@ pub fn run(w: &InProc, plan: &Plan) -> Result<Report, String> {
     let mut rig = setup(w, plan.seed);
     let mut layers = Layers::default();
     let slice = Duration::from_secs_f64(s * 0.25);
+    let warm = warm_up(w, &rig, &sampler, plan.seed);
     let (plain, _) = phase(w, &rig, &sampler, plan.seed, slice, &|| NoTrace);
     let before = snapshot(&rig);
+    let reclaimer_cpu = sys::named_threads_cpu_s("kv-reclaimer");
     let origin = Instant::now();
     let (traced, outs) = phase(w, &rig, &sampler, plan.seed ^ 2, slice, &|| {
         Tracer::new(origin)
     });
+    layers.set(
+        "ttl.reclaimer_busy_share",
+        (sys::named_threads_cpu_s("kv-reclaimer") - reclaimer_cpu) / origin.elapsed().as_secs_f64(),
+    );
     let after = snapshot(&rig);
     check_counts(w, &mut report, &traced.totals, &before, &after);
-    report.attempted = plain.totals.ops + traced.totals.ops;
-    report.failed = plain.totals.failed + traced.totals.failed;
+    report.attempted = warm.ops + plain.totals.ops + traced.totals.ops;
+    report.failed = warm.failed + plain.totals.failed + traced.totals.failed;
 
     let mut tracer = Tracer::new(origin);
     let mut stm = StmCounts::default();
@@ -386,11 +453,10 @@ pub fn run(w: &InProc, plan: &Plan) -> Result<Report, String> {
         "store.put_ttl_ns",
         tracer.total("store.put_ttl").ns_per_op(),
     );
-    layers.set("loadgen.p99_us", plain.percentile_us(99.0));
-    layers.set("trace.ops_per_s", traced.ops_per_s());
+    layers.set("trace.ops_per_cpu_s", traced.ops_per_cpu_s());
     layers.set(
         "trace.overhead_pct",
-        100.0 * (1.0 - ratio(traced.totals.ops, plain.totals.ops)),
+        100.0 * (1.0 - traced.ops_per_cpu_s() / plain.ops_per_cpu_s()),
     );
 
     // Quiescent from here on: the map statistics, then the probes.

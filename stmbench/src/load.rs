@@ -4,14 +4,19 @@
 //! A *unit* is the benchmark's request: 16 store calls in process, one
 //! frame on the wire.  Throughput and latency percentiles are reported as
 //! the median over [`WINDOWS`] equal windows of the phase, so one stall of
-//! the shared machine moves one window, not the figure.
+//! the shared machine moves one window, not the figure.  Throughput is
+//! counted per CPU-second of the whole process in each window (every
+//! thread, load and background), so time in which the host ran something
+//! else instead of this process does not count against it.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use harness::measure::LatencyHistogram;
 
 use crate::report::median;
+use crate::sys;
 
 /// Equal windows a phase is cut into for its throughput median.
 pub const WINDOWS: usize = 10;
@@ -54,6 +59,9 @@ pub struct Phase {
     win_ops: [u64; WINDOWS],
     win_hits: [u64; WINDOWS],
     win_hist: Vec<LatencyHistogram>,
+    /// CPU seconds of the whole process in each window; all 0 for a
+    /// phase that was not driven by [`run_threads`].
+    win_cpu_s: [f64; WINDOWS],
 }
 
 impl Phase {
@@ -68,6 +76,7 @@ impl Phase {
             win_ops: [0; WINDOWS],
             win_hits: [0; WINDOWS],
             win_hist: vec![LatencyHistogram::new(); WINDOWS],
+            win_cpu_s: [0.0; WINDOWS],
         }
     }
 
@@ -103,14 +112,35 @@ impl Phase {
         median(&mut counts.map(|c| c as f64 / secs))
     }
 
-    /// Operations per second, median over the windows.
+    fn median_per_cpu_s(&self, counts: &[u64; WINDOWS]) -> f64 {
+        let mut rates: Vec<f64> = counts
+            .iter()
+            .zip(&self.win_cpu_s)
+            .filter(|(_, cpu)| **cpu > 0.0)
+            .map(|(c, cpu)| *c as f64 / cpu)
+            .collect();
+        median(&mut rates)
+    }
+
+    /// Operations per second of wall time, median over the windows.
     pub fn ops_per_s(&self) -> f64 {
         self.median_rate(&self.win_ops)
     }
 
-    /// Hits per second, median over the windows.
-    pub fn hits_per_s(&self) -> f64 {
-        self.median_rate(&self.win_hits)
+    /// Operations per CPU-second of the process, median over the windows.
+    pub fn ops_per_cpu_s(&self) -> f64 {
+        self.median_per_cpu_s(&self.win_ops)
+    }
+
+    /// Hits per CPU-second of the process, median over the windows.
+    pub fn hits_per_cpu_s(&self) -> f64 {
+        self.median_per_cpu_s(&self.win_hits)
+    }
+
+    /// CPU seconds the process used per second of wall time over the
+    /// windows (the load threads' share of the machine).
+    pub fn cpu_per_wall_s(&self) -> f64 {
+        self.win_cpu_s.iter().sum::<f64>() / (self.window.as_secs_f64() * WINDOWS as f64)
     }
 
     /// Latency percentile `p` of the units, microseconds: the median over
@@ -163,32 +193,73 @@ pub fn drive<U: Unit>(unit: &mut U, duration: Duration, start: Instant) -> Phase
     }
 }
 
+/// Marks a load thread's phase as ended and holds the thread until the
+/// caller has read the last window's CPU time; on drop, so a thread that
+/// panics arrives too.
+struct EndOfPhase<'a> {
+    arrived: &'a AtomicUsize,
+    release: &'a Barrier,
+}
+
+impl Drop for EndOfPhase<'_> {
+    fn drop(&mut self) {
+        // ORDERING: pairs with the Acquire load in `run_threads`, which
+        // then reads the thread's CPU time; the barrier orders the rest.
+        self.arrived.fetch_add(1, Ordering::Release);
+        self.release.wait();
+    }
+}
+
 /// Runs `threads` load threads, each building its unit with `make(tid)`
-/// on its own thread, released together, for `duration`.
+/// on its own thread, released together, for `duration`.  The calling
+/// thread sleeps through the phase, waking at each window's end to read
+/// the process's CPU time; the load threads stay alive until it has read
+/// the last window's.
 pub fn run_threads<U, F>(threads: usize, duration: Duration, make: &F) -> (Phase, Vec<U::Out>)
 where
     U: Unit,
     F: Fn(usize) -> U + Sync,
 {
-    let barrier = Barrier::new(threads);
+    let start_gate = Barrier::new(threads + 1);
+    let release = Barrier::new(threads + 1);
+    let arrived = AtomicUsize::new(0);
+    let mut merged = Phase::new(duration);
     let per_thread: Vec<(Phase, U::Out)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|tid| {
-                let barrier = &barrier;
+                let (start_gate, release, arrived) = (&start_gate, &release, &arrived);
                 scope.spawn(move || {
                     let mut unit = make(tid);
-                    barrier.wait();
+                    start_gate.wait();
+                    let end = EndOfPhase { arrived, release };
                     let phase = drive(&mut unit, duration, Instant::now());
+                    drop(end);
                     (phase, unit.finish())
                 })
             })
             .collect();
+        start_gate.wait();
+        let start = Instant::now();
+        let mut cpu = sys::live_threads_cpu_s();
+        for w in 0..WINDOWS {
+            let edge = start + merged.window * (w as u32 + 1);
+            std::thread::sleep(edge.saturating_duration_since(Instant::now()));
+            if w + 1 == WINDOWS {
+                // ORDERING: pairs with the Release increment in `EndOfPhase`.
+                while arrived.load(Ordering::Acquire) < threads {
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+            }
+            let now = sys::live_threads_cpu_s();
+            merged.win_cpu_s[w] = now - cpu;
+            cpu = now;
+        }
+        release.wait();
         handles
             .into_iter()
             .map(|h| h.join().expect("load thread panicked"))
             .collect()
     });
-    let mut merged = Phase::new(duration);
     let mut outs = Vec::with_capacity(threads);
     for (phase, out) in per_thread {
         merged.merge(&phase);
@@ -224,6 +295,8 @@ mod tests {
         assert_eq!(phase.units, outs.iter().sum::<u64>());
         assert_eq!(phase.totals.ops, 2 * phase.units);
         assert!(phase.ops_per_s() > 0.0);
-        assert!(phase.hits_per_s() > 0.0);
+        assert!(phase.ops_per_cpu_s() > 0.0);
+        assert!(phase.hits_per_cpu_s() > 0.0);
+        assert!(phase.cpu_per_wall_s() > 0.0);
     }
 }

@@ -8,22 +8,17 @@
 //! operation streams (`harness::kv::WorkerState`, YCSB-B, 16-op frames): a
 //! closed loop with [`DEPTH`] frames in flight per connection, then an open
 //! loop on a fixed schedule, rotating over the connections and timing each
-//! frame from when it was due.  Unlike `harness::loadgen` the streams are
-//! seeded from the run's seed, and the client polls nonblocking sockets
-//! (yielding between polls) where `WireConn` blocks in `read`: a blocked
-//! client leaves its CPU idle, and on a shared virtual machine waking an
-//! idle CPU can take milliseconds.
+//! frame from when it was due.  The connections are `harness::loadgen`
+//! `WireConn`s; unlike `run_loadgen`, the streams are seeded from the run's
+//! seed.
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use harness::kv::{KvMix, KvWorkloadConfig, ValueSize, WorkerState};
-use harness::loadgen::ClientError;
-use spectm_kv::wire::{decode_response, encode_request, Fill, FrameReader};
-use spectm_kv::{BatchOp, BatchResponse, Value};
+use harness::loadgen::{ClientError, WireConn};
+use spectm_kv::{BatchOp, Value};
 use spectm_serve::Server;
 
 use crate::checks::{self, classify, Got};
@@ -43,81 +38,15 @@ pub const CONNECTIONS: usize = 4;
 pub const DEPTH: usize = 2;
 /// Server worker threads.
 pub const WORKERS: usize = 1;
+/// Longest wait for one response before the client gives up (a server that
+/// stops answering fails the run instead of hanging it).
+pub const RECV_TIMEOUT: Duration = Duration::from_secs(10);
 /// Open-loop offered rate, frames per second over all connections.  With
 /// one frame in flight the open loop cannot pass one frame per round trip,
 /// and a worker that parks between frames makes that round trip ~0.5 ms;
 /// this rate keeps the worker out of its park while leaving headroom below
 /// the round-trip limit.
 pub const OPEN_FRAMES_PER_S: f64 = 10_000.0;
-
-/// One client connection speaking the loadgen wire protocol over a
-/// nonblocking socket, polled until a response is complete.
-pub struct PollConn {
-    stream: TcpStream,
-    reader: FrameReader,
-    out: Vec<u8>,
-    resp: BatchResponse,
-}
-
-impl PollConn {
-    /// Connects to a server.
-    pub fn connect(addr: SocketAddr) -> Result<Self, ClientError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
-        Ok(Self {
-            stream,
-            reader: FrameReader::new(),
-            out: Vec::new(),
-            resp: BatchResponse::new(),
-        })
-    }
-
-    /// Sends `ops` as one request frame without waiting for the response.
-    pub fn send(&mut self, ops: &[BatchOp]) -> Result<(), ClientError> {
-        encode_request(ops, &mut self.out)?;
-        let mut sent = 0;
-        while sent < self.out.len() {
-            match self.stream.write(&self.out[sent..]) {
-                Ok(0) => return Err(ClientError::ServerClosed),
-                Ok(n) => sent += n,
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
-                    std::thread::yield_now()
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(())
-    }
-
-    /// Polls for the next response frame, checking it carries `expected`
-    /// results.
-    pub fn recv(&mut self, expected: usize) -> Result<&BatchResponse, ClientError> {
-        loop {
-            if let Some((start, end)) = self.reader.try_frame()? {
-                decode_response(&self.reader.buffered()[start..end], &mut self.resp)?;
-                if self.resp.len() != expected {
-                    return Err(ClientError::ResultCount {
-                        sent: expected,
-                        got: self.resp.len(),
-                    });
-                }
-                return Ok(&self.resp);
-            }
-            match self.reader.fill_nonblocking(&mut self.stream)? {
-                Fill::Bytes(_) => {}
-                Fill::WouldBlock => std::thread::yield_now(),
-                Fill::Eof => return Err(ClientError::ServerClosed),
-            }
-        }
-    }
-
-    /// Sends `ops` and waits for their results.
-    pub fn execute(&mut self, ops: &[BatchOp]) -> Result<&BatchResponse, ClientError> {
-        self.send(ops)?;
-        self.recv(ops.len())
-    }
-}
 
 /// Judges one frame's results: every get must hit with a valid payload,
 /// and every put must displace a valid payload (the space is preloaded and
@@ -148,7 +77,7 @@ fn failed_frame(ops: usize) -> UnitResult {
 
 /// The client: connections, their operation streams, and what it saw.
 struct Client {
-    conns: Vec<PollConn>,
+    conns: Vec<WireConn>,
     streams: Vec<WorkerState>,
     frames_sent: u64,
     recorded: Vec<Vec<BatchOp>>,
@@ -287,8 +216,12 @@ pub fn probe(
     };
     let mut client = Client {
         conns: (0..CONNECTIONS)
-            .map(|_| PollConn::connect(addr))
-            .collect::<Result<Vec<_>, _>>()
+            .map(|_| {
+                let conn = WireConn::connect(addr)?;
+                conn.set_read_timeout(Some(RECV_TIMEOUT))?;
+                Ok(conn)
+            })
+            .collect::<Result<Vec<_>, ClientError>>()
             .map_err(|e| format!("cannot connect: {e}"))?,
         streams: (0..CONNECTIONS)
             .map(|cid| WorkerState::new(&cfg, stream_seed(seed, 200 + cid as u64)))
@@ -338,6 +271,7 @@ pub fn probe(
         "serve.io_errors",
         (after.io_errors - before.io_errors) as f64,
     );
+    layers.set("loadgen.p99_us", closed.whole_percentile_us(99.0));
     layers.set("loadgen.open_p50_us", open.percentile_us(50.0));
     layers.set("loadgen.open_late_us", open.mean_late_us());
     layers.set("loadgen.open_p99_us", open.whole_percentile_us(99.0));

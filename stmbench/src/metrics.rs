@@ -7,9 +7,9 @@ use crate::report::Report;
 /// End-to-end metrics, measured with tracing off: `(name, unit)`.
 pub const END_TO_END: &[(&str, &str)] = &[
     ("setup_s", "s"),
-    ("ops_per_s", "ops/s"),
+    ("ops_per_cpu_s", "ops/cpu-s"),
     ("p50_us", "us"),
-    ("hits_per_s", "hits/s"),
+    ("hits_per_cpu_s", "hits/cpu-s"),
     ("rss_peak_mib", "MiB"),
 ];
 
@@ -58,11 +58,12 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("cache.expired", "count"),
     ("cache.live_bytes", "B"),
     ("ttl.sweep_step_us", "us"),
+    ("ttl.reclaimer_busy_share", "ratio"),
     ("value.live_cells", "count"),
     ("txepoch.retired", "count"),
     ("txepoch.reclaimed", "count"),
     ("txepoch.pending", "count"),
-    ("trace.ops_per_s", "ops/s"),
+    ("trace.ops_per_cpu_s", "ops/cpu-s"),
     ("trace.overhead_pct", "%"),
 ];
 

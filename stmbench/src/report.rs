@@ -40,9 +40,9 @@ impl Report {
         }
     }
 
-    /// Whether every run-level check held.
+    /// Whether every run-level check held and the run attempted anything.
     pub fn correct(&self) -> bool {
-        self.violations.is_empty()
+        self.violations.is_empty() && self.attempted > 0
     }
 
     /// The single-line JSON object the run ends with.
@@ -50,7 +50,7 @@ impl Report {
         let mut out = format!(
             "{{\"correct\": {}, \"attempted\": {}, \"failed\": {}, \"metrics\": {{",
             self.correct(),
-            self.attempted.max(1),
+            self.attempted,
             self.failed
         );
         for (i, m) in self.metrics.iter().enumerate() {

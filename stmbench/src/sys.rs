@@ -1,5 +1,5 @@
-//! Process and thread figures read from `/proc`: peak resident set and
-//! per-thread CPU time.
+//! Process and thread figures read from `/proc`: peak resident set,
+//! per-thread and per-process CPU time, and the host's steal.
 
 use std::fs;
 
@@ -28,6 +28,56 @@ fn stat_cpu_s(stat: &str) -> Option<f64> {
     let utime: f64 = fields.get(11)?.parse().ok()?;
     let stime: f64 = fields.get(12)?.parse().ok()?;
     Some((utime + stime) / TICKS_PER_S)
+}
+
+/// CPU seconds used so far by the whole process, exited threads included
+/// (`/proc/self/stat`, in clock ticks).
+pub fn process_cpu_s() -> f64 {
+    fs::read_to_string("/proc/self/stat")
+        .ok()
+        .and_then(|s| stat_cpu_s(&s))
+        .unwrap_or(0.0)
+}
+
+/// Seconds on a CPU from a `schedstat` file's contents (its first field,
+/// nanoseconds).
+fn schedstat_s(schedstat: &str) -> Option<f64> {
+    let ns: u64 = schedstat.split_whitespace().next()?.parse().ok()?;
+    Some(ns as f64 / 1e9)
+}
+
+/// Seconds on a CPU, to the nanosecond, of this process's live threads
+/// (each thread's `schedstat`): the scheduler's own run time, which does
+/// not count time the thread waited for a CPU.
+pub fn live_threads_cpu_s() -> f64 {
+    let Ok(tasks) = fs::read_dir("/proc/self/task") else {
+        return 0.0;
+    };
+    tasks
+        .flatten()
+        .filter_map(|task| {
+            fs::read_to_string(task.path().join("schedstat"))
+                .ok()
+                .and_then(|s| schedstat_s(&s))
+        })
+        .sum()
+}
+
+/// The machine's CPU time so far as `(steal, total)` clock ticks, from the
+/// first line of `/proc/stat`: steal is time the host gave this virtual
+/// machine's CPUs to someone else.
+pub fn machine_steal_ticks() -> Option<(u64, u64)> {
+    let stat = fs::read_to_string("/proc/stat").ok()?;
+    let fields: Vec<u64> = stat
+        .lines()
+        .next()?
+        .split_whitespace()
+        .skip(1)
+        .map(|f| f.parse().ok())
+        .collect::<Option<_>>()?;
+    // user nice system idle iowait irq softirq steal [guest guest_nice];
+    // guest time is already counted in user and nice.
+    Some((*fields.get(7)?, fields.iter().take(8).sum()))
 }
 
 /// CPU seconds the calling thread has used so far.
@@ -68,8 +118,18 @@ mod tests {
     }
 
     #[test]
+    fn parses_schedstat() {
+        assert_eq!(schedstat_s("2500000000 17 3\n"), Some(2.5));
+        assert_eq!(schedstat_s(""), None);
+    }
+
+    #[test]
     fn reads_this_process() {
         assert!(rss_peak_mib() > 0.0);
         assert!(own_cpu_s() >= 0.0);
+        assert!(process_cpu_s() >= 0.0);
+        assert!(live_threads_cpu_s() > 0.0);
+        let (steal, total) = machine_steal_ticks().expect("/proc/stat reads");
+        assert!(steal <= total && total > 0);
     }
 }
